@@ -6,8 +6,10 @@ the {"rows": m, "cols": n, "data": [[[a0,a1,a2,a3], ...], ...]} schema with
 integer or "p/q" components. Reports are byte-deterministic: the same input
 always produces the same output.
 
-Exit codes: 0 ok, 2 parse error, 3 validation error, 4 size cap exceeded,
-5 internal inconsistency or numerical failure.
+Exit codes: 0 ok, 2 parse error (including numbers with more digits than
+Python converts), 3 validation error, 4 size cap exceeded (including a
+result number too long to write), 5 internal inconsistency or numerical
+failure.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from typing import Dict
+from fractions import Fraction
+from typing import Dict, Tuple
 
 from .cramer import EquationInstance
 from .drazin import _index_data, drazin_inverse, limit_residuals, matrix_index
@@ -27,7 +30,7 @@ from .errors import (DimensionMismatch, IndexOutOfRange, IndexTooLarge,
 from .ncdet import herm_det, principal_minor_sum, rank_by_minors
 from .oracle import verify_drazin_axioms
 from .qmat import QMatrix
-from .quat import rational_from_json, rational_to_json
+from .quat import rational_to_json
 
 SWEEP_LAMBDAS = (1e-2, 1e-4, 1e-6)
 
@@ -64,10 +67,11 @@ class JobSpec:
         return self.inputs[name]
 
 
-def _coefficient_meta(a: QMatrix, suffix: str = "") -> dict:
+def _coefficient_meta(a: QMatrix, suffix: str = "") -> Tuple[Fraction, dict]:
+    """The minor-sum denominator of a coefficient, and its meta fields."""
     k, r, _, ak1 = _index_data(a)
-    denom = principal_minor_sum(ak1, r) if r > 0 else 1
-    return {
+    denom = principal_minor_sum(ak1, r) if r > 0 else Fraction(1)
+    return denom, {
         f"index{suffix}": k,
         f"rank{suffix}": r,
         f"denominator{suffix}": rational_to_json(denom),
@@ -106,13 +110,13 @@ def run(job: JobSpec) -> dict:
         x = instance.solve(self_check=job.self_check)
         residual = instance.residual(x)
         if kind == "AXB":
-            meta.update(_coefficient_meta(instance.a, "_a"))
-            meta.update(_coefficient_meta(instance.b, "_b"))
-            prod = (_as_fraction(meta["denominator_a"])
-                    * _as_fraction(meta["denominator_b"]))
-            meta["denominator"] = rational_to_json(prod)
+            denom_a, fields_a = _coefficient_meta(instance.a, "_a")
+            denom_b, fields_b = _coefficient_meta(instance.b, "_b")
+            meta.update(fields_a)
+            meta.update(fields_b)
+            meta["denominator"] = rational_to_json(denom_a * denom_b)
         else:
-            meta.update(_coefficient_meta(instance.a))
+            meta.update(_coefficient_meta(instance.a)[1])
         meta["residual_zero"] = residual.is_zero()
         meta["self_check"] = job.self_check
         return {"X": x.to_json(), "residual": residual.to_json(), "meta": meta}
@@ -123,10 +127,6 @@ def run(job: JobSpec) -> dict:
         meta["index"] = k
         return {"verified": ok, "meta": meta}
     raise ValidationError(f"unknown command {cmd!r}")
-
-
-def _as_fraction(encoded):
-    return rational_from_json(encoded)
 
 
 # -- rendering --------------------------------------------------------------
@@ -201,6 +201,10 @@ def _load_inputs(path: str, command: str) -> Dict[str, QMatrix]:
         raise ParseError(f"cannot read input file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"input is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # Bytes that are not UTF-8, an integer past Python's digit limit for
+        # decimal conversion, or nesting deeper than the parser can follow.
+        raise ParseError(f"cannot read the input document: {exc}") from exc
     if not isinstance(document, dict):
         raise ParseError("input document must be a JSON object of named matrices")
     matrices = {}

@@ -245,11 +245,14 @@ def limit_residuals(a: QMatrix, lambdas: Sequence[float]) -> List[float]:
     report = drazin_inverse(a)
     k = report.index
     n = a.rows
-    ak_f = _embed_float(a.power(k))
-    ak1_f = _embed_float(a.power(k + 1))
-    exact = [[tuple(float(c) for c in (q.a0, q.a1, q.a2, q.a3))
-              for q in (report.inverse.entry(i, j) for j in range(1, n + 1))]
-             for i in range(1, n + 1)]
+    try:
+        ak_f = _embed_float(a.power(k))
+        ak1_f = _embed_float(a.power(k + 1))
+        exact = [[tuple(float(c) for c in (q.a0, q.a1, q.a2, q.a3))
+                  for q in (report.inverse.entry(i, j) for j in range(1, n + 1))]
+                 for i in range(1, n + 1)]
+    except OverflowError as exc:
+        raise NumericalFailure(f"entries do not fit in double precision: {exc}") from exc
     residuals = []
     for lam in lambdas:
         shifted = [list(row) for row in ak1_f]

@@ -18,7 +18,8 @@ class InvalidOrder(QuatAlgError):
 
 
 class SizeCapExceeded(QuatAlgError):
-    """A determinant was requested above the factorial-cost size cap."""
+    """A determinant was requested above the size cap, or a result holds a
+    number with more decimal digits than Python will write out."""
 
 
 class NotHermitian(QuatAlgError):

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, SizeCapExceeded
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
 
@@ -173,10 +173,24 @@ K = Quaternion(0, 0, 0, 1)
 #
 # A quaternion travels as a 4-element array [a0, a1, a2, a3]; each element
 # is an integer or a decimal-free fraction string "p/q". Floats are
-# rejected so nothing inexact can sneak in.
+# rejected so nothing inexact can sneak in. Python refuses to convert
+# integers longer than sys.get_int_max_str_digits() to or from decimal;
+# such a component is a ParseError on the way in and SizeCapExceeded on
+# the way out.
+
+def _decimal(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError as exc:
+        raise SizeCapExceeded(
+            "a result component has more decimal digits than can be written") from exc
+
 
 def rational_to_json(value: Fraction):
-    return value.numerator if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
+    num = _decimal(value.numerator)
+    if value.denominator == 1:
+        return value.numerator  # written by json itself, checked just above
+    return f"{num}/{_decimal(value.denominator)}"
 
 
 def rational_from_json(value) -> Fraction:
@@ -188,11 +202,15 @@ def rational_from_json(value) -> Fraction:
         if not _RATIONAL_RE.fullmatch(value):
             raise ParseError(f"not a decimal-free rational: {value!r}")
         num, _, den = value.partition("/")
-        if den:
-            if int(den) == 0:
-                raise ParseError(f"zero denominator in {value!r}")
-            return Fraction(int(num), int(den))
-        return Fraction(int(num))
+        try:
+            num, den = int(num), int(den or 1)
+        except ValueError as exc:
+            raise ParseError(
+                f"rational component of {len(value)} characters has more digits "
+                "than can be read") from exc
+        if den == 0:
+            raise ParseError(f"zero denominator in {value!r}")
+        return Fraction(num, den)
     raise ParseError(
         f"rational component must be an integer or 'p/q' string, got {type(value).__name__}")
 

@@ -182,3 +182,50 @@ def test_exit_code_for_size_cap(tmp_path, capsys):
 def test_exit_code_for_missing_file(tmp_path, capsys):
     code, _, _ = run_cli(capsys, ["det", "--input", str(tmp_path / "absent.json")])
     assert code == 2
+
+
+def write_text(tmp_path, text, name="doc.json"):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def one_entry_doc(component: str) -> str:
+    return '{"A": {"rows": 1, "cols": 1, "data": [[[%s, 0, 0, 0]]]}}' % component
+
+
+def test_exit_code_for_oversized_numeral_string(tmp_path, capsys):
+    path = write_text(tmp_path, one_entry_doc('"%s"' % ("9" * 5000)))
+    code, _, err = run_cli(capsys, ["det", "--input", path])
+    assert code == 2
+    assert "Traceback" not in err
+
+
+def test_exit_code_for_oversized_denominator(tmp_path, capsys):
+    path = write_text(tmp_path, one_entry_doc('"1/%s"' % ("9" * 5000)))
+    code, _, err = run_cli(capsys, ["det", "--input", path])
+    assert code == 2
+    assert "Traceback" not in err
+
+
+def test_exit_code_for_oversized_json_integer(tmp_path, capsys):
+    path = write_text(tmp_path, one_entry_doc("9" * 5000))
+    code, _, err = run_cli(capsys, ["det", "--input", path])
+    assert code == 2
+    assert "Traceback" not in err
+
+
+def test_exit_code_for_a_result_too_long_to_write(tmp_path, capsys):
+    big = 10 ** 2200
+    path = write_doc(tmp_path, A=QMatrix([[big, 0], [0, big]]))
+    for fmt in ("json", "pretty"):
+        code, out, err = run_cli(capsys, ["det", "--input", path, "--format", fmt])
+        assert code == 4
+        assert out == "" and "Traceback" not in err
+
+
+def test_exit_code_for_a_lambda_sweep_past_double_precision(tmp_path, capsys):
+    path = write_doc(tmp_path, A=QMatrix([[10 ** 400]]))
+    code, out, err = run_cli(capsys, ["drazin", "--input", path, "--lambda-sweep"])
+    assert code == 5
+    assert out == "" and "Traceback" not in err

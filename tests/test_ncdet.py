@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 
 from quatalg import (QMatrix, cdet, char_coeffs, cofactor_left, cofactor_right,
-                     herm_det, herm_inverse, principal_minor_sum,
-                     rank_by_minors, rdet)
+                     embedding_rank, herm_det, herm_inverse, index_sets,
+                     principal_minor_sum, rank_by_minors, rdet)
 from quatalg.errors import (DimensionMismatch, NotHermitian, Singular,
                             SizeCapExceeded)
 from quatalg.quat import I, J, K, Quaternion
@@ -221,3 +221,83 @@ def test_hermitian_inverse_on_random_matrices():
         inv = herm_inverse(a)
         assert a * inv == QMatrix.identity(3)
         assert inv * a == QMatrix.identity(3)
+
+
+# -- congruence elimination against the permutation-sum oracle ---------------
+
+def zero_diagonal_hermitian(rng, n) -> QMatrix:
+    """Indefinite Hermitian matrix with every diagonal entry zero."""
+    g = rand_qmatrix(rng, n, n)
+    return QMatrix([[0 if i == j else g.entry(i, j) if i < j else g.entry(j, i).conjugate()
+                     for j in range(1, n + 1)] for i in range(1, n + 1)])
+
+
+def oracle_family(rng, n):
+    """Gram, symmetrised, low-rank Gram and zero-diagonal samples of order n."""
+    low = rand_qmatrix(rng, n, max(1, n // 2))
+    return [rand_hermitian(rng, n, mode="gram"), rand_hermitian(rng, n, mode="sym"),
+            low * low.adjoint(), zero_diagonal_hermitian(rng, n)]
+
+
+def brute_rank(a: QMatrix) -> int:
+    """Largest order of a nonzero principal minor, each minor a permutation sum."""
+    for order in range(a.rows, 0, -1):
+        for beta in index_sets(a.rows, order):
+            if rdet(a.principal(beta), 1) != Quaternion():
+                return order
+    return 0
+
+
+def test_herm_det_matches_every_anchored_determinant():
+    rng = random.Random(4101)
+    for n in range(1, 6):
+        for a in oracle_family(rng, n):
+            value = Quaternion(herm_det(a))
+            for t in range(1, n + 1):
+                assert rdet(a, t) == value == cdet(a, t)
+
+
+def test_herm_det_matches_the_oracle_at_orders_six_and_seven():
+    # An order-6 permutation sum takes about 0.3 s and an order-7 one about
+    # 2 s, so these orders compare against one row and one column anchor.
+    rng = random.Random(4106)
+    for a in oracle_family(rng, 6):
+        value = Quaternion(herm_det(a))
+        assert rdet(a, 1) == value == cdet(a, 6)
+    a = rand_hermitian(random.Random(4107), 7, mode="sym")
+    value = herm_det(a)
+    assert value != 0
+    assert rdet(a, 4) == Quaternion(value)
+
+
+def test_zero_diagonal_appearing_mid_elimination():
+    q = Quaternion(1, 1, 1, 0)
+    # The first pivot leaves the Schur complement [[0, q], [conj(q), 0]].
+    a = QMatrix([[1, 1, 0], [1, 1, q], [0, q.conjugate(), 0]])
+    assert herm_det(a) == -3 == rdet(a, 2).a0
+    assert rank_by_minors(a) == 3
+    single = QMatrix([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, J], [0, 0, -J, 0]])
+    assert herm_det(single) == 0
+    assert rank_by_minors(single) == 2 == brute_rank(single)
+
+
+def test_rank_matches_embedding_rank_and_minor_scan():
+    rng = random.Random(4202)
+    for n in range(1, 6):
+        for a in oracle_family(rng, n):
+            assert rank_by_minors(a) == embedding_rank(a) == brute_rank(a)
+
+
+def test_principal_minor_sum_matches_brute_sum():
+    rng = random.Random(4303)
+    for n in range(1, 6):
+        for a in oracle_family(rng, n):
+            for order in range(1, n + 1):
+                brute = sum((rdet(a.principal(beta), 1) for beta in index_sets(n, order)),
+                            Quaternion())
+                assert Quaternion(principal_minor_sum(a, order)) == brute
+
+
+def test_rank_by_minors_keeps_the_size_cap():
+    with pytest.raises(SizeCapExceeded):
+        rank_by_minors(QMatrix.zeros(9, 9))
